@@ -141,6 +141,11 @@ pub fn scan_only_guard() -> ScanOnlyGuard {
     ScanOnlyGuard { previous }
 }
 
+/// Removed atoms an [`AtomStore`] tolerates beyond a quarter of its live
+/// count before it compacts (see `AtomStore::compact`): small stores never
+/// pay for a rebuild.
+const COMPACT_SLACK: usize = 256;
+
 /// The `(predicate name, arity)` identity of a stored relation.
 type RelKey = (Term, Option<usize>);
 
@@ -309,7 +314,8 @@ impl Relation {
 /// warm across mutations.
 #[derive(Debug, Clone, Default)]
 pub struct AtomStore {
-    /// Stable ids for every atom ever inserted (ids survive removal).
+    /// Ids for every atom inserted since the last compaction (ids survive
+    /// removal until then).
     interner: TermInterner,
     /// Per-id liveness; `false` entries are removed (or never-inserted) ids.
     live: Vec<bool>,
@@ -352,6 +358,9 @@ impl AtomStore {
         if self.live[id.index()] {
             return false;
         }
+        // A revived atom keeps the interner's copy, so the store holds one
+        // allocation per atom however often it comes and goes.
+        let atom = self.interner.resolve(id).clone();
         self.live[id.index()] = true;
         self.live_count += 1;
         self.atoms.insert(atom.clone());
@@ -381,8 +390,8 @@ impl AtomStore {
     }
 
     /// Removes a ground atom; returns `true` if it was present.  The atom's
-    /// [`AtomId`] stays reserved (a later re-insert revives it), and every
-    /// built index is maintained in place.
+    /// [`AtomId`] stays reserved (a later re-insert revives it) until the
+    /// store compacts, and every built index is maintained in place.
     pub fn remove(&mut self, atom: &Term) -> bool {
         let Some(id) = self.interner.get(atom) else {
             return false;
@@ -411,7 +420,54 @@ impl AtomStore {
                 }
             }
         }
+        if self.interner.len() > self.live_count + self.live_count / 4 + COMPACT_SLACK {
+            self.compact();
+        }
         true
+    }
+
+    /// Rebuilds the store from its live atoms.  The interner keeps an id
+    /// (and the term) for every atom ever inserted, so a store under churn
+    /// — the EDB, a patched subgoal table — would otherwise hold every atom
+    /// it ever saw; [`Self::remove`] calls this once removed atoms
+    /// outnumber a quarter of the live ones, which keeps the cost amortised
+    /// O(1) per removal and the interner's tables from doubling under
+    /// steady churn.  Argument indexes built before are rebuilt at once, so
+    /// they stay warm.
+    fn compact(&mut self) {
+        let indexed: Vec<(RelKey, Vec<usize>)> = self
+            .relations
+            .iter_mut()
+            .map(|(key, rel)| {
+                let positions = rel
+                    .indexes
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .keys()
+                    .copied()
+                    .collect();
+                (key.clone(), positions)
+            })
+            .collect();
+        let atoms = std::mem::take(&mut self.atoms);
+        *self = AtomStore::new();
+        for atom in atoms {
+            self.insert(atom);
+        }
+        let AtomStore {
+            relations,
+            interner,
+            ..
+        } = self;
+        for (key, positions) in indexed {
+            if let Some(rel) = relations.get_mut(&key) {
+                let mut indexes = HashMap::new();
+                for pos in positions {
+                    indexes.insert(pos, Relation::build_index(&rel.rows, pos, interner));
+                }
+                rel.indexes = RwLock::new(indexes);
+            }
+        }
     }
 
     /// Returns `true` if the atom is present (one hash probe of the interner,
@@ -666,7 +722,25 @@ pub fn least_model_into(
     opts: EvalOptions,
     store: &mut dyn RelationStorage,
 ) -> Result<(), EngineError> {
+    least_model_with_facts(program, &[], mode, opts, store)
+}
+
+/// [`least_model_into`] over `program` plus ground `facts` held outside it
+/// (a session's EDB): the facts enter the store in round 0, exactly as
+/// bodyless rules would.
+pub(crate) fn least_model_with_facts(
+    program: &Program,
+    facts: &[Term],
+    mode: NegationMode,
+    opts: EvalOptions,
+    store: &mut dyn RelationStorage,
+) -> Result<(), EngineError> {
     let mut delta = AtomStore::new();
+    for fact in facts {
+        if store.insert(fact.clone()) {
+            delta.insert(fact.clone());
+        }
+    }
 
     // Round 0: facts and rules whose positive body is empty.
     for rule in program.iter() {
@@ -970,6 +1044,42 @@ pub fn extend_least_model(
 mod tests {
     use super::*;
     use hilog_syntax::parse_program;
+
+    #[test]
+    fn churn_compacts_the_store_and_keeps_indexes_exact() {
+        let edge = |u: usize, v: usize| {
+            Term::apps(
+                "edge",
+                vec![Term::sym(format!("n{u}")), Term::sym(format!("n{v}"))],
+            )
+        };
+        let mut store = AtomStore::new();
+        for i in 0..2000 {
+            store.insert(edge(i % 50, i));
+        }
+        let probe = Term::apps("edge", vec![Term::sym("n8"), Term::var("Y")]);
+        assert_eq!(store.candidates(&probe).count(), 40);
+        for i in (0..2000).filter(|i| i % 4 != 0) {
+            assert!(store.remove(&edge(i % 50, i)));
+        }
+        // 1500 removals against 500 live atoms: the store compacted.
+        assert_eq!(store.len(), 500);
+        assert!(store.interner.len() <= 500 + 500 / 4 + COMPACT_SLACK);
+        let mut probed: Vec<Term> = store.candidates(&probe).cloned().collect();
+        probed.sort();
+        let expected: Vec<Term> = (0..2000)
+            .filter(|i| i % 4 == 0 && i % 50 == 8)
+            .map(|i| edge(8, i))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(probed.len(), 20);
+        assert_eq!(probed, expected);
+        // A removed atom comes back like a new one.
+        assert!(store.insert(edge(8, 58)));
+        assert!(store.contains(&edge(8, 58)));
+        assert_eq!(store.candidates(&probe).count(), expected.len() + 1);
+    }
 
     fn lm(text: &str) -> AtomStore {
         least_model(

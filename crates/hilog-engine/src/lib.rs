@@ -42,6 +42,7 @@
 
 pub mod aggregate;
 pub mod deadline;
+pub mod edb;
 pub mod error;
 pub mod extension;
 pub mod ground;
@@ -77,7 +78,7 @@ pub use magic_eval::{EvalStats, ModelSource, QueryEvaluator};
 pub use modular::ModularOutcome;
 pub use plan::{PlanStrategy, QueryPlan};
 pub use pool::{default_eval_threads, parallel_counters, run_tasks};
-pub use session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
+pub use session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics, TableMaintenance};
 pub use snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
 pub use spill::SpillStore;
 pub use stable::{stable_models_over_universe, StableOptions};

@@ -36,6 +36,7 @@
 //! information passing strategy.
 
 use crate::deadline::check_deadline;
+use crate::edb::{is_ground_fact, Edb, EdbRead};
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
@@ -46,6 +47,7 @@ use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::{match_with, unify_with};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -53,6 +55,22 @@ use std::sync::Arc;
 /// shared by [`QueryEvaluator::answer_query`] and the session facade (which
 /// must recognise — and drop — the auxiliary tables it creates).
 pub(crate) const QUERY_HEAD: &str = "__query_answer";
+
+/// Native stack, in bytes, one evaluation's nested subgoal settles may use
+/// (each negative or aggregate subgoal settles its own subquery one native
+/// frame pair deeper).  A deeper chain fails with
+/// [`EngineError::NotModularlyStratified`], which the session and snapshot
+/// planners answer from the full model instead, whose bottom-up schedule
+/// has no such nesting.  Half of the 2 MiB a spawned thread gets, so the
+/// guard holds whatever the build's frame sizes are.
+pub const SETTLE_STACK_BUDGET: usize = 1 << 20;
+
+/// The address of a local of the calling frame: how deep the native stack
+/// is, for [`SETTLE_STACK_BUDGET`].
+fn stack_position() -> usize {
+    let marker = 0u8;
+    std::hint::black_box(&marker) as *const u8 as usize
+}
 
 /// Statistics collected during query evaluation, used by the benchmarks to
 /// show the relevance advantage of query-directed evaluation and by
@@ -238,10 +256,32 @@ impl Table {
     }
 }
 
+/// Where an evaluator reads ground facts from.
+#[derive(Debug)]
+enum Facts<'p> {
+    /// A session's or snapshot's EDB, as of its version.
+    Shared(EdbRead<'p>),
+    /// The ground facts of the program handed to [`QueryEvaluator::new`].
+    Owned(Box<Edb>),
+}
+
+impl Facts<'_> {
+    fn read(&self) -> EdbRead<'_> {
+        match self {
+            Facts::Shared(read) => *read,
+            Facts::Owned(edb) => edb.latest(),
+        }
+    }
+}
+
 /// A memoising query/subquery evaluator over a fixed program.
 #[derive(Debug)]
 pub struct QueryEvaluator<'p> {
-    program: &'p Program,
+    /// The program's rules; its ground facts live in `facts`.
+    rules: Cow<'p, Program>,
+    /// Ground facts, answered by argument-index probes rather than by
+    /// unifying each fact with the subgoal.
+    facts: Facts<'p>,
     opts: EvalOptions,
     /// Subgoal tables keyed by their normalised pattern *structurally* (the
     /// `Arc`-backed [`Term`] itself), so seeding, lookup and the session's
@@ -260,7 +300,8 @@ pub struct QueryEvaluator<'p> {
     /// Rule indices grouped by the (ground) outermost functor and arity of
     /// their head, so that a subgoal only considers rules that could match it
     /// (the discrimination the magic predicates provide in the rewritten
-    /// program).
+    /// program).  Facts are not in it: they are probed in `facts`, so the
+    /// index is as small as the rule set.
     rules_by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
     /// Rules whose head outermost functor is a variable: candidates for every
     /// subgoal.
@@ -268,26 +309,58 @@ pub struct QueryEvaluator<'p> {
     /// Backend configuration for tables this evaluator creates (seeded
     /// tables keep whatever backend they were built on).
     storage: StorageConfig,
+    /// [`stack_position`] of the outermost settle in progress.
+    settle_base: usize,
 }
 
 impl<'p> QueryEvaluator<'p> {
-    /// Creates an evaluator for the program.
+    /// Creates an evaluator for the program.  Its ground facts are moved
+    /// into an argument-indexed store first, as a session keeps them.
     pub fn new(program: &'p Program, opts: EvalOptions) -> Self {
-        Self::with_tables(program, opts, HashMap::new(), StorageConfig::default())
+        let storage = StorageConfig::default();
+        let (facts, rules): (Vec<&Rule>, Vec<&Rule>) =
+            program.iter().partition(|rule| is_ground_fact(rule));
+        let edb = Edb::from_facts(&storage, facts.into_iter().map(|r| r.head.clone()));
+        let rules = Program::from_rules(rules.into_iter().cloned().collect());
+        Self::build(
+            Cow::Owned(rules),
+            Facts::Owned(Box::new(edb)),
+            opts,
+            HashMap::new(),
+            storage,
+        )
     }
 
-    /// Creates an evaluator seeded with tables from a previous run over the
-    /// same (or an extended) program.  Complete tables are trusted as-is,
-    /// which is how [`crate::session::HiLogDb`] reuses work across queries.
+    /// Creates an evaluator over `rules` plus the facts of an EDB view,
+    /// seeded with tables from a previous run over the same (or an extended)
+    /// program.  Complete tables are trusted as-is, which is how
+    /// [`crate::session::HiLogDb`] reuses work across queries.
     pub(crate) fn with_tables(
-        program: &'p Program,
+        rules: &'p Program,
+        facts: EdbRead<'p>,
+        opts: EvalOptions,
+        tables: HashMap<Term, Arc<Table>>,
+        storage: StorageConfig,
+    ) -> Self {
+        Self::build(
+            Cow::Borrowed(rules),
+            Facts::Shared(facts),
+            opts,
+            tables,
+            storage,
+        )
+    }
+
+    fn build(
+        rules: Cow<'p, Program>,
+        facts: Facts<'p>,
         opts: EvalOptions,
         tables: HashMap<Term, Arc<Table>>,
         storage: StorageConfig,
     ) -> Self {
         let mut rules_by_head: HashMap<(Term, Option<usize>), Vec<usize>> = HashMap::new();
         let mut wildcard_rules = Vec::new();
-        for (i, rule) in program.iter().enumerate() {
+        for (i, rule) in rules.iter().enumerate() {
             let functor = rule.head.outermost_functor();
             if functor.is_ground() {
                 rules_by_head
@@ -299,7 +372,8 @@ impl<'p> QueryEvaluator<'p> {
             }
         }
         QueryEvaluator {
-            program,
+            rules,
+            facts,
             opts,
             tables,
             rename_counter: 0,
@@ -308,6 +382,7 @@ impl<'p> QueryEvaluator<'p> {
             rules_by_head,
             wildcard_rules,
             storage,
+            settle_base: 0,
         }
     }
 
@@ -321,7 +396,7 @@ impl<'p> QueryEvaluator<'p> {
     fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
         let functor = pattern.outermost_functor();
         if !functor.is_ground() {
-            return (0..self.program.len()).collect();
+            return (0..self.rules.len()).collect();
         }
         let mut out: Vec<usize> = self
             .rules_by_head
@@ -367,11 +442,15 @@ impl<'p> QueryEvaluator<'p> {
             QUERY_HEAD,
             vars.iter().map(|v| Term::Var(v.clone())).collect(),
         );
-        let rule = Rule::new(head.clone(), query.literals.clone());
-        let mut extended = self.program.clone();
-        extended.push(rule);
-        let mut sub =
-            QueryEvaluator::with_tables(&extended, self.opts, HashMap::new(), self.storage.clone());
+        let mut extended = self.rules.clone().into_owned();
+        extended.push(Rule::new(head.clone(), query.literals.clone()));
+        let mut sub = QueryEvaluator::build(
+            Cow::Owned(extended),
+            Facts::Shared(self.facts.read()),
+            self.opts,
+            HashMap::new(),
+            self.storage.clone(),
+        );
         let answers = sub.solve_atom(&head)?;
         self.stats.rule_applications += sub.stats().rule_applications;
         let mut out = Vec::new();
@@ -519,11 +598,23 @@ impl<'p> QueryEvaluator<'p> {
             if in_progress.contains(&key) {
                 return Err(self.not_modularly_stratified(&key));
             }
-        } else {
-            self.tables.insert(
-                key.clone(),
-                Arc::new(Table::new(key.clone(), &self.storage)),
-            );
+        }
+        // Each nested settle is a native stack frame pair; past the budget
+        // the tabled route gives up, and the planner answers from the full
+        // model instead.
+        let here = stack_position();
+        if in_progress.is_empty() {
+            self.settle_base = here;
+        } else if self.settle_base.abs_diff(here) > SETTLE_STACK_BUDGET {
+            return Err(EngineError::NotModularlyStratified(format!(
+                "settling `{key}` would nest {} subgoal settles, past the tabled route's \
+                 stack budget (a negation or aggregation chain that deep is left to the \
+                 full model)",
+                in_progress.len()
+            )));
+        }
+        if !self.tables.contains_key(&key) {
+            self.open_table(key.clone());
         }
         in_progress.push(key.clone());
 
@@ -588,12 +679,26 @@ impl<'p> QueryEvaluator<'p> {
             }
             return Ok(key);
         }
-        self.tables.insert(
-            key.clone(),
-            Arc::new(Table::new(key.clone(), &self.storage)),
-        );
+        self.open_table(key.clone());
         scope.push(key.clone());
         Ok(key)
+    }
+
+    /// Creates the table for a new subgoal, already holding the ground facts
+    /// that answer it: one probe of the EDB's argument indexes on the
+    /// pattern's bound positions, each match counting as one bodyless rule
+    /// application.  Facts cannot change during an evaluation, so the rounds
+    /// of [`Self::expand`] only ever apply rules.
+    fn open_table(&mut self, key: Term) {
+        let mut table = Table::new(key.clone(), &self.storage);
+        for fact in self.facts.read().candidates(&key) {
+            if match_with(&key, &fact, &mut Substitution::new()) {
+                self.stats.rule_applications += 1;
+                table.answers.insert(fact);
+            }
+        }
+        self.derived += table.answers.len();
+        self.tables.insert(key, Arc::new(table));
     }
 
     /// One expansion pass over all rules whose head unifies with the
@@ -609,9 +714,8 @@ impl<'p> QueryEvaluator<'p> {
         let pattern = self.tables[subgoal_key].pattern.clone();
         let mut derived: Vec<Term> = Vec::new();
         for rule_index in self.candidate_rules(&pattern) {
-            let rule = &self.program.rules[rule_index];
             let generation = self.fresh_generation();
-            let renamed = rule.rename(generation);
+            let renamed = self.rules.rules[rule_index].rename(generation);
             let mut theta = Substitution::new();
             if !unify_with(&renamed.head, &pattern, &mut theta) {
                 continue;
@@ -742,7 +846,8 @@ impl<'p> QueryEvaluator<'p> {
                     derived.push(answer);
                 } else {
                     return Err(EngineError::Floundering(format!(
-                        "rule `{rule}` produced the non-ground answer `{answer}`"
+                        "rule `{}` produced the non-ground answer `{answer}`",
+                        self.rules.rules[rule_index]
                     )));
                 }
             }

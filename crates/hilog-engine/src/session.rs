@@ -30,10 +30,11 @@
 //! assert!(second.stats.cached_subqueries > 0);
 //! ```
 
+use crate::edb::{is_ground_fact, Edb, EdbPin, EdbRead};
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
-use crate::grounder::{ground_against, ground_delta};
-use crate::horn::{join_body, least_model_into, AtomStore, EvalOptions, NegationMode};
+use crate::grounder::{ground_delta, ground_with_facts};
+use crate::horn::{join_body, least_model_with_facts, AtomStore, EvalOptions, NegationMode};
 use crate::magic::DepSign;
 use crate::magic_eval::{
     normalize_pattern, EvalStats, ModelSource, QueryEvaluator, Table, QUERY_HEAD,
@@ -53,7 +54,7 @@ use hilog_core::unify::{match_with, unify_with};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which semantics a [`HiLogDb`] answers queries under.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -182,6 +183,29 @@ impl Serialize for QueryResult {
     }
 }
 
+/// Subgoal tables a session's fact and rule mutations maintained: patched
+/// in place, dropped, or refilled eagerly (the same counts
+/// [`EvalStats::tables_patched`], [`EvalStats::tables_dropped`] and
+/// [`EvalStats::tables_refilled`] report per query).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableMaintenance {
+    /// Tables patched in place by an exact answer-level edit.
+    pub patched: usize,
+    /// Tables dropped, to be refilled by the next query that needs them.
+    pub dropped: usize,
+    /// Tables re-solved eagerly after a monotone assert.
+    pub refilled: usize,
+}
+
+impl TableMaintenance {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: TableMaintenance) {
+        self.patched += other.patched;
+        self.dropped += other.dropped;
+        self.refilled += other.refilled;
+    }
+}
+
 /// Builder for [`HiLogDb`]; obtained from [`HiLogDb::builder`].
 #[derive(Debug, Clone, Default)]
 pub struct HiLogDbBuilder {
@@ -251,11 +275,24 @@ impl HiLogDbBuilder {
         self
     }
 
-    /// Builds the session.  No evaluation happens yet; every cache is filled
-    /// lazily by the first query that needs it.
+    /// Builds the session.  The program's ground facts move into the EDB;
+    /// no evaluation happens yet, every cache is filled lazily by the first
+    /// query that needs it.
     pub fn build(self) -> HiLogDb {
+        let mut rules = Vec::new();
+        let facts = self.program.rules.into_iter().filter_map(|rule| {
+            if is_ground_fact(&rule) {
+                Some(rule.head)
+            } else {
+                rules.push(rule);
+                None
+            }
+        });
+        let edb = Edb::from_facts(&self.storage, facts);
         HiLogDb {
-            program: Arc::new(self.program),
+            rules: Arc::new(Program::from_rules(rules)),
+            edb: Arc::new(edb),
+            materialized: OnceLock::new(),
             opts: self.opts,
             stable_opts: self.stable_opts,
             semantics: self.semantics,
@@ -266,8 +303,7 @@ impl HiLogDbBuilder {
             dirty: None,
             stable: None,
             modular: None,
-            tables: HashMap::new(),
-            scratch: None,
+            tables: TableSet::default(),
             groundings: 0,
             patches: 0,
             pending_patched: 0,
@@ -276,6 +312,19 @@ impl HiLogDbBuilder {
             storage: self.storage,
         }
     }
+}
+
+/// The program a session's rules and EDB view spell out: the rules in source
+/// order, then every fact (each copy) in term order.
+pub(crate) fn materialize(rules: &Program, facts: EdbRead<'_>) -> Program {
+    let mut program = Vec::with_capacity(rules.len() + facts.len());
+    program.extend(rules.iter().cloned());
+    facts.for_each_fact(|fact, count| {
+        for _ in 0..count {
+            program.push(Rule::fact(fact.clone()));
+        }
+    });
+    Program::from_rules(program)
 }
 
 /// Returns `true` if `atom` falls inside an optional predicate-level scope
@@ -299,12 +348,20 @@ fn pred_scope_affects(preds: Option<&BTreeSet<PredKey>>, atom: &Term) -> bool {
 /// shape and a usage example.
 #[derive(Debug)]
 pub struct HiLogDb {
-    /// The program, `Arc`d so publishing a [`crate::snapshot::DbSnapshot`]
-    /// shares it with the session; mutations go through `Arc::make_mut`
-    /// (copy-on-write: the clone happens only while a snapshot still holds
-    /// the previous version).  Every other heavyweight cache below is `Arc`d
-    /// for the same reason.
-    program: Arc<Program>,
+    /// The program's rules (and any fact with variables), `Arc`d so
+    /// publishing a [`crate::snapshot::DbSnapshot`] shares them with the
+    /// session; mutations go through `Arc::make_mut` (copy-on-write: the
+    /// clone happens only while a snapshot still holds the previous
+    /// version).  Every other heavyweight cache below is `Arc`d for the same
+    /// reason.
+    rules: Arc<Program>,
+    /// The ground facts: the counted, argument-indexed EDB.  Shared with
+    /// every published snapshot, each reading the version it pinned, so a
+    /// publish copies none of it.
+    edb: Arc<Edb>,
+    /// [`HiLogDb::program`]'s rules-plus-facts view, built on first use and
+    /// dropped by every mutation.
+    materialized: OnceLock<Program>,
     opts: EvalOptions,
     stable_opts: StableOptions,
     semantics: Semantics,
@@ -341,10 +398,7 @@ pub struct HiLogDb {
     /// *reverse* closure of those edges (instance-level, unlike the
     /// predicate-level `DepAnalysis`) to decide which tables to patch in
     /// place, which to drop, and which to leave untouched.
-    tables: HashMap<Term, Arc<Table>>,
-    /// Scratch copy of the program used to host the auxiliary rule of
-    /// conjunctive queries (cloned lazily, reused until the program mutates).
-    scratch: Option<Program>,
+    tables: TableSet,
     /// Total grounding passes performed since construction.
     groundings: usize,
     /// Total incremental model patches performed since construction.
@@ -376,9 +430,34 @@ impl HiLogDb {
     }
 
     /// The current program (initial rules plus asserted facts and rules,
-    /// minus retracted facts).
+    /// minus retracted ones): the rules in source order, then every ground
+    /// fact in term order, one entry per asserted copy.  Built from the
+    /// rules and the EDB on first use and cached until the next mutation.
     pub fn program(&self) -> &Program {
-        self.program.as_ref()
+        self.materialized
+            .get_or_init(|| materialize(&self.rules, self.edb.latest()))
+    }
+
+    /// [`Self::program`] built afresh and handed over, without caching it:
+    /// for one-off consumers such as checkpoints, which would otherwise
+    /// hold a second copy.
+    pub fn to_program(&self) -> Program {
+        match self.materialized.get() {
+            Some(program) => program.clone(),
+            None => materialize(&self.rules, self.edb.latest()),
+        }
+    }
+
+    /// The subgoal-table maintenance the mutations since the last call (or
+    /// the last [`Self::query`], which reports the same counts in its
+    /// [`EvalStats`]) performed, resetting the counts.  This is how a writer
+    /// that never queries (the serving path) observes its maintenance.
+    pub fn take_table_maintenance(&mut self) -> TableMaintenance {
+        TableMaintenance {
+            patched: std::mem::take(&mut self.pending_patched),
+            dropped: std::mem::take(&mut self.pending_dropped),
+            refilled: std::mem::take(&mut self.pending_refilled),
+        }
     }
 
     /// The session's evaluation limits.
@@ -407,7 +486,7 @@ impl HiLogDb {
     // Mutation with targeted cache invalidation
     // ------------------------------------------------------------------
 
-    /// Asserts a ground fact.
+    /// Asserts a ground fact: one more copy in the EDB.
     ///
     /// The dependency analysis is kept (facts add no edges); subgoal tables
     /// are maintained through their recorded dependency edges (tables
@@ -420,44 +499,29 @@ impl HiLogDb {
                 "assert_fact requires a ground atom, got `{fact}`"
             )));
         }
-        // A duplicate of an already-present fact changes nothing
-        // semantically; every cache stays valid (the mirror image of
-        // `retract_fact`'s duplicate short-circuit).
-        let already_present = self
-            .program
-            .rules
-            .iter()
-            .any(|r| r.is_fact() && r.head == fact);
-        Arc::make_mut(&mut self.program).push(Rule::fact(fact.clone()));
-        if already_present {
-            self.scratch = None;
-            return Ok(());
+        self.materialized.take();
+        // A further copy of a present fact changes nothing semantically;
+        // every cache stays valid (the mirror image of `retract_fact`).
+        if self.edb.insert(fact.clone()) == 1 {
+            self.invalidate_for_fact(&fact, true);
         }
-        self.invalidate_for_fact(&fact, true);
         Ok(())
     }
 
-    /// Retracts one occurrence of a ground fact; returns `false` if the
-    /// program contains no such fact.
+    /// Retracts one copy of a fact; returns `false` if the program holds no
+    /// such fact.  (A fact with variables lives among the rules, where
+    /// [`Self::retract_rule`] removes it.)
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
-        let Some(pos) = self
-            .program
-            .rules
-            .iter()
-            .position(|r| r.is_fact() && r.head == *fact)
-        else {
+        if !fact.is_ground() {
+            return self.retract_rule(&Rule::fact(fact.clone()));
+        }
+        let Some(remaining) = self.edb.remove(fact) else {
             return false;
         };
-        Arc::make_mut(&mut self.program).rules.remove(pos);
-        self.scratch = None;
+        self.materialized.take();
         // A duplicate assertion may still be present; then nothing changed
         // semantically and every cache stays valid.
-        let still_present = self
-            .program
-            .rules
-            .iter()
-            .any(|r| r.is_fact() && r.head == *fact);
-        if !still_present {
+        if remaining == 0 {
             self.invalidate_for_fact(fact, false);
         }
         true
@@ -468,10 +532,16 @@ impl HiLogDb {
     /// tables are maintained at the instance level: the new rule can only
     /// derive instances of its head, so only the tables whose pattern
     /// overlaps the head (plus their recorded-edge reverse closure) are
-    /// dropped, and every other table survives.
+    /// dropped, and every other table survives.  A ground fact goes to the
+    /// EDB through [`Self::assert_fact`].
     pub fn assert_rule(&mut self, rule: Rule) {
+        if is_ground_fact(&rule) {
+            self.assert_fact(rule.head)
+                .expect("a ground fact is always assertable");
+            return;
+        }
         self.drop_tables_for_head(&rule.head);
-        Arc::make_mut(&mut self.program).push(rule);
+        Arc::make_mut(&mut self.rules).push(rule);
         self.invalidate_caches_keeping_tables();
     }
 
@@ -481,15 +551,19 @@ impl HiLogDb {
     /// Subgoal tables survive outside the instance-level reverse closure of
     /// the rule's head, exactly as for [`Self::assert_rule`].  The
     /// grounding/model caches have no provenance for the retracted rule's
-    /// instantiations and are rebuilt lazily.
+    /// instantiations and are rebuilt lazily.  A ground fact is retracted
+    /// from the EDB through [`Self::retract_fact`].
     pub fn retract_rule(&mut self, rule: &Rule) -> bool {
-        let Some(pos) = self.program.rules.iter().position(|r| r == rule) else {
+        if is_ground_fact(rule) {
+            return self.retract_fact(&rule.head);
+        }
+        let Some(pos) = self.rules.rules.iter().position(|r| r == rule) else {
             return false;
         };
-        Arc::make_mut(&mut self.program).rules.remove(pos);
+        Arc::make_mut(&mut self.rules).rules.remove(pos);
+        self.materialized.take();
         // A structurally identical copy may remain; then nothing changed.
-        if self.program.rules.iter().any(|r| r == rule) {
-            self.scratch = None;
+        if self.rules.rules.iter().any(|r| r == rule) {
             return true;
         }
         self.drop_tables_for_head(&rule.head);
@@ -508,7 +582,7 @@ impl HiLogDb {
         self.dirty = None;
         self.stable = None;
         self.modular = None;
-        self.scratch = None;
+        self.materialized.take();
     }
 
     // ------------------------------------------------------------------
@@ -529,30 +603,27 @@ impl HiLogDb {
     /// refilling the kept table would never read a changed atom — and any
     /// *newly selectable* subgoal requires some consulted table to gain
     /// answers first, which puts it inside the closure.
-    fn tables_affected_by(&self, probe: &Term) -> BTreeSet<Term> {
+    fn tables_affected_by(&mut self, probe: &Term) -> BTreeSet<Term> {
+        if self.tables.map.is_empty() {
+            return BTreeSet::new();
+        }
         let renamed = rename_apart(probe);
         let mut queue: Vec<Term> = self
             .tables
-            .iter()
-            .filter(|(_, t)| {
+            .overlapping(probe)
+            .into_iter()
+            .filter(|key| {
                 let mut theta = Substitution::new();
-                unify_with(&t.pattern, &renamed, &mut theta)
+                unify_with(&self.tables.map[key].pattern, &renamed, &mut theta)
             })
-            .map(|(key, _)| key.clone())
             .collect();
-        let mut readers: HashMap<&Term, Vec<&Term>> = HashMap::new();
-        for (key, table) in &self.tables {
-            for dep in table.deps.keys() {
-                readers.entry(dep).or_default().push(key);
-            }
-        }
+        let readers = &self.tables.index().readers;
         let mut affected: BTreeSet<Term> = BTreeSet::new();
         while let Some(key) = queue.pop() {
-            if !affected.insert(key.clone()) {
-                continue;
-            }
-            if let Some(rs) = readers.get(&key) {
-                queue.extend(rs.iter().map(|r| (*r).clone()));
+            if affected.insert(key.clone()) {
+                if let Some(readers) = readers.get(&key) {
+                    queue.extend(readers.iter().cloned());
+                }
             }
         }
         affected
@@ -572,7 +643,8 @@ impl HiLogDb {
         // The retracted ground instance survives in a table if some other
         // bodyless route still derives it (a builtin-guarded twin) — the
         // same check the DRed path applies to the ground program.
-        let spontaneous = !asserted && fact.is_ground() && spontaneous_fact(&self.program, fact);
+        let spontaneous =
+            !asserted && fact.is_ground() && spontaneous_fact(&self.rules, self.edb.latest(), fact);
         // Classify before mutating the table map: the monotone check walks
         // recorded edges into tables that may themselves be affected.
         let monotone: BTreeSet<Term> = if asserted {
@@ -586,7 +658,7 @@ impl HiLogDb {
         };
         let mut refill = Vec::new();
         for key in affected {
-            let table = self.tables.get_mut(&key).expect("affected keys exist");
+            let table = self.tables.map.get_mut(&key).expect("affected keys exist");
             let mut theta = Substitution::new();
             if table.deps.is_empty()
                 && fact.is_ground()
@@ -626,7 +698,7 @@ impl HiLogDb {
             if !seen.insert(key.clone()) {
                 continue;
             }
-            let Some(table) = self.tables.get(&key) else {
+            let Some(table) = self.tables.map.get(&key) else {
                 return false;
             };
             for (dep, sign) in &table.deps {
@@ -649,18 +721,20 @@ impl HiLogDb {
         if keys.is_empty() {
             return;
         }
-        let tables = std::mem::take(&mut self.tables);
-        let mut evaluator =
-            QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
+        let mut evaluator = QueryEvaluator::with_tables(
+            &self.rules,
+            self.edb.latest(),
+            self.opts,
+            self.tables.take(),
+            self.storage.clone(),
+        );
         let mut failed = 0usize;
         for key in &keys {
             if evaluator.solve_atom(key).is_err() {
                 failed += 1;
             }
         }
-        let mut tables = evaluator.into_tables();
-        tables.retain(|_, t| t.complete);
-        self.tables = tables;
+        self.tables.restore(evaluator.into_tables());
         self.pending_refilled += keys.len() - failed;
         self.pending_dropped += failed;
     }
@@ -689,18 +763,23 @@ impl HiLogDb {
     /// the next query that needs it re-evaluates only the affected
     /// components.
     fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
-        // The scratch program mirrors `self.program` and is always stale
-        // after a fact-level change, whatever the dependency analysis says.
-        self.scratch = None;
         // The Figure 1 outcome records the settling order, which even a pure
         // EDB fact can extend; recompute it on demand.
         self.modular = None;
         self.maintain_tables_for_fact(fact, asserted);
-        // `assert_fact` only admits ground atoms, but `assert_rule` (and the
-        // builder) accept facts with variable predicate names, and those can
-        // reach here through `retract_fact`; without a predicate identity
-        // the predicate-level scope is global.  (The *model* patch is scoped
-        // at the instance level either way — see `apply_fact_delta`.)
+        // Without a warm grounding, model or stable-model set there is
+        // nothing else to maintain.
+        if self.ground.is_none()
+            && self.possibly.is_none()
+            && self.model.is_none()
+            && self.stable.is_none()
+        {
+            return;
+        }
+        // Only ground facts reach here (facts with variables are rules), so
+        // the predicate key exists; a variable-headed rule still makes the
+        // predicate-level scope global.  (The *model* patch is scoped at the
+        // instance level either way — see `apply_fact_delta`.)
         let keyed = match pred_key(fact) {
             Some(key) => self.analysis().affected_by(&key).map(|set| (key, set)),
             None => None,
@@ -853,7 +932,7 @@ impl HiLogDb {
                 // rounds up to it.  The instantiations' heads *are* the
                 // delta-aware consequence operator's output, so the next
                 // frontier falls out of the same single join pass.
-                let rules = match ground_delta(&self.program, possibly, &frontier, self.opts) {
+                let rules = match ground_delta(&self.rules, possibly, &frontier, self.opts) {
                     Ok(rules) => rules,
                     Err(_) => return None,
                 };
@@ -938,7 +1017,7 @@ impl HiLogDb {
         }
         // The retracted EDB instance only survives if another bodyless route
         // to the same ground fact exists (e.g. a builtin-guarded rule).
-        let spontaneous = spontaneous_fact(&self.program, fact);
+        let spontaneous = spontaneous_fact(&self.rules, self.edb.latest(), fact);
         // Rederive: a deleted atom returns as soon as one of its cached
         // instantiations is fully supported by surviving atoms.  Only rules
         // whose head was overdeleted can rederive anything; seed with those,
@@ -1001,7 +1080,7 @@ impl HiLogDb {
 
     fn analysis(&mut self) -> &DepAnalysis {
         if self.analysis.is_none() {
-            self.analysis = Some(DepAnalysis::build(&self.program));
+            self.analysis = Some(DepAnalysis::build(&self.rules));
         }
         self.analysis.as_ref().expect("just built")
     }
@@ -1013,15 +1092,18 @@ impl HiLogDb {
             // semi-naive continuation of `assert_fact` extends.  Built on the
             // session's configured backend, so a spill session pages the
             // possibly-true store's cold relations to disk from the start.
+            let facts = self.edb.latest().distinct_facts();
             let mut possibly = FactStore::new(&self.storage);
-            least_model_into(
-                &self.program,
+            least_model_with_facts(
+                &self.rules,
+                &facts,
                 NegationMode::Ignore,
                 self.opts,
                 &mut possibly,
             )?;
-            self.ground = Some(Arc::new(ground_against(
-                &self.program,
+            self.ground = Some(Arc::new(ground_with_facts(
+                &self.rules,
+                &facts,
                 &possibly,
                 self.opts,
             )?));
@@ -1119,7 +1201,8 @@ impl HiLogDb {
     /// Runs (and caches) the Figure 1 modular-stratification procedure.
     pub fn check_modular(&mut self) -> Result<&ModularOutcome, EngineError> {
         if self.modular.is_none() {
-            self.modular = Some(Arc::new(figure1_procedure(&self.program, self.opts)?));
+            let outcome = figure1_procedure(self.program(), self.opts)?;
+            self.modular = Some(Arc::new(outcome));
         }
         Ok(self.modular.as_deref().expect("just checked"))
     }
@@ -1136,7 +1219,7 @@ impl HiLogDb {
             query,
             self.model.is_some(),
             self.model.is_some() && self.dirty.is_some(),
-            self.tables.values().filter(|t| t.complete).count(),
+            self.tables.map.values().filter(|t| t.complete).count(),
             self.pending_patched,
             self.pending_dropped,
         )
@@ -1148,7 +1231,7 @@ impl HiLogDb {
         let plan = self.explain(query);
         // Table-maintenance observability: how many tables survived into
         // this query (read before the route consumes the table map).
-        let tables_reused = self.tables.len();
+        let tables_reused = self.tables.map.len();
         // Join-index observability: every candidate lookup this query causes
         // (grounding joins and subgoal-table joins alike) lands in these
         // thread-cumulative counters; the deltas are the per-query numbers.
@@ -1208,15 +1291,15 @@ impl HiLogDb {
     }
 
     /// Aggregate relation-storage statistics over the session's stores: the
-    /// possibly-true store (when grounding has run) and every subgoal
-    /// table's answer store.  Under [`StorageConfig::InMemory`] everything
-    /// is resident and the spill fields are zero.
+    /// EDB, the possibly-true store (when grounding has run) and every
+    /// subgoal table's answer store.  Under [`StorageConfig::InMemory`]
+    /// everything is resident and the spill fields are zero.
     pub fn storage_stats(&self) -> RelationStorageStats {
-        let mut total = RelationStorageStats::default();
+        let mut total = self.edb.storage_stats();
         if let Some(possibly) = &self.possibly {
             total.merge(&possibly.storage_stats());
         }
-        for table in self.tables.values() {
+        for table in self.tables.map.values() {
             total.merge(&table.answers.storage_stats());
         }
         total
@@ -1245,7 +1328,7 @@ impl HiLogDb {
         // answers and the same (non-)verdict.
         if let [Literal::Pos(atom)] = query.literals.as_slice() {
             let key = normalize_pattern(atom);
-            if let Some(table) = self.tables.get(&key) {
+            if let Some(table) = self.tables.map.get(&key) {
                 if table.complete {
                     let answers = table
                         .answers
@@ -1265,7 +1348,7 @@ impl HiLogDb {
                 }
             }
         }
-        let tables = std::mem::take(&mut self.tables);
+        let tables = self.tables.take();
         // `QueryEvaluator::stats` totals over every table it holds, seeded
         // ones included; subtract the seeded counts so the reported stats
         // cover this query only (seeded tables are complete and gain no
@@ -1280,13 +1363,16 @@ impl HiLogDb {
         if let [Literal::Pos(atom)] = query.literals.as_slice() {
             // Single-atom queries table the pattern itself — the second run
             // of the same query is a pure cache hit.
-            let mut evaluator =
-                QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
+            let mut evaluator = QueryEvaluator::with_tables(
+                &self.rules,
+                self.edb.latest(),
+                self.opts,
+                tables,
+                self.storage.clone(),
+            );
             let solved = evaluator.solve_atom(atom);
             let stats = per_query(evaluator.stats());
-            let mut tables = evaluator.into_tables();
-            tables.retain(|_, t| t.complete);
-            self.tables = tables;
+            self.tables.restore(evaluator.into_tables());
             let answers = solved?
                 .into_iter()
                 .filter_map(|answer| {
@@ -1297,30 +1383,31 @@ impl HiLogDb {
             Ok((answers, stats))
         } else {
             // Conjunctions run through an auxiliary `__query_answer` rule
-            // appended to the session's scratch copy of the program (cloned
-            // once, reused across queries); every table except the auxiliary
-            // one remains a valid table of the base program.
+            // appended to a copy of the rules (facts stay in the EDB, so the
+            // copy is as small as the rule set); every table except the
+            // auxiliary one remains a valid table of the base program.
             let head = Term::apps(
                 QUERY_HEAD,
                 vars.iter().map(|v| Term::Var(v.clone())).collect(),
             );
-            if self.scratch.is_none() {
-                self.scratch = Some(Program::clone(&self.program));
-            }
-            let scratch = self.scratch.as_mut().expect("just cloned");
+            let mut scratch = Program::clone(&self.rules);
             scratch.push(Rule::new(head.clone(), query.literals.clone()));
-            let mut evaluator =
-                QueryEvaluator::with_tables(scratch, self.opts, tables, self.storage.clone());
+            let mut evaluator = QueryEvaluator::with_tables(
+                &scratch,
+                self.edb.latest(),
+                self.opts,
+                tables,
+                self.storage.clone(),
+            );
             let solved = evaluator.solve_atom(&head);
             let stats = per_query(evaluator.stats());
             let mut tables = evaluator.into_tables();
-            self.scratch.as_mut().expect("just cloned").rules.pop();
             // The auxiliary table must not leak into later conjunctions: its
             // key is the *rendered* pattern (where `__query_answer` comes out
             // quoted), so compare the pattern's functor, not the key string.
             let aux_functor = Term::sym(QUERY_HEAD);
-            tables.retain(|_, t| t.complete && t.pattern.outermost_functor() != &aux_functor);
-            self.tables = tables;
+            tables.retain(|_, t| t.pattern.outermost_functor() != &aux_functor);
+            self.tables.restore(tables);
             let answers = solved?
                 .into_iter()
                 .filter_map(|answer| {
@@ -1400,7 +1487,8 @@ impl HiLogDb {
             self.dirty = None;
         }
         SnapshotParts {
-            program: self.program.clone(),
+            rules: self.rules.clone(),
+            edb: self.edb.pin(),
             opts: self.opts,
             stable_opts: self.stable_opts,
             semantics: self.semantics,
@@ -1409,7 +1497,7 @@ impl HiLogDb {
             model: self.model.clone(),
             stable: self.stable.clone(),
             modular: self.modular.clone(),
-            tables: self.tables.clone(),
+            tables: self.tables.map.clone(),
             storage: self.storage.clone(),
         }
     }
@@ -1420,15 +1508,192 @@ impl HiLogDb {
     /// the session already holds (and maintains under mutation) wins.
     pub(crate) fn adopt_tables(&mut self, fresh: HashMap<Term, Arc<Table>>) {
         for (key, table) in fresh {
-            self.tables.entry(key).or_insert(table);
+            if !self.tables.map.contains_key(&key) {
+                self.tables.insert(key, table);
+            }
         }
+    }
+}
+
+/// The session's completed subgoal tables, with the two indexes fact-level
+/// maintenance walks (see [`TableIndex`]).  The indexes are built by the
+/// first mutation that consults them and from then on kept next to the
+/// table map, updated as tables are inserted, dropped, adopted or handed
+/// back by an evaluator; a session that only queries never builds them.
+#[derive(Debug, Default)]
+struct TableSet {
+    map: HashMap<Term, Arc<Table>>,
+    index: Option<TableIndex>,
+}
+
+/// The tables filed by predicate name, arity and first bound argument (so a
+/// mutated fact is unified only with the tables it can overlap), and the
+/// reverse of their recorded dependency edges (so the affected closure never
+/// rebuilds it).
+#[derive(Debug, Default)]
+struct TableIndex {
+    /// Table keys by [`table_slot`].  Slots are hashes, so two can share a
+    /// bucket; that only adds candidates that then fail to unify.
+    slots: HashMap<u64, Vec<Term>>,
+    /// `readers[dep]`: the tables whose recorded edges include `dep`.
+    readers: HashMap<Term, Vec<Term>>,
+}
+
+/// The slot of the patterns with a non-ground predicate name: a candidate
+/// for every probe.
+const WILDCARD_SLOT: u64 = 0;
+
+/// Hash of a predicate name, an arity and optionally one bound argument with
+/// its position.
+fn slot_hash(name: &Term, arity: Option<usize>, bound: Option<(usize, &Term)>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    name.hash(&mut hasher);
+    arity.hash(&mut hasher);
+    bound.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Where a table pattern is filed: its ground predicate name and arity plus
+/// its first ground argument, if any.
+fn table_slot(pattern: &Term) -> u64 {
+    let name = pattern.name();
+    if !name.is_ground() {
+        return WILDCARD_SLOT;
+    }
+    let bound = pattern
+        .args()
+        .iter()
+        .enumerate()
+        .find(|(_, arg)| arg.is_ground());
+    slot_hash(name, pattern.arity(), bound)
+}
+
+/// Removes one `key` from a bucket, dropping the bucket once empty.
+fn unfile<K: std::hash::Hash + Eq>(buckets: &mut HashMap<K, Vec<Term>>, bucket: &K, key: &Term) {
+    if let Some(keys) = buckets.get_mut(bucket) {
+        if let Some(i) = keys.iter().position(|k| k == key) {
+            keys.swap_remove(i);
+        }
+        if keys.is_empty() {
+            buckets.remove(bucket);
+        }
+    }
+}
+
+impl TableIndex {
+    fn file(&mut self, key: &Term, table: &Table) {
+        self.slots
+            .entry(table_slot(&table.pattern))
+            .or_default()
+            .push(key.clone());
+        for dep in table.deps.keys() {
+            self.readers
+                .entry(dep.clone())
+                .or_default()
+                .push(key.clone());
+        }
+    }
+
+    fn unfile(&mut self, key: &Term, table: &Table) {
+        unfile(&mut self.slots, &table_slot(&table.pattern), key);
+        for dep in table.deps.keys() {
+            unfile(&mut self.readers, dep, key);
+        }
+    }
+
+    fn holds(&self, key: &Term, table: &Table) -> bool {
+        self.slots
+            .get(&table_slot(&table.pattern))
+            .is_some_and(|keys| keys.contains(key))
+    }
+}
+
+impl TableSet {
+    fn insert(&mut self, key: Term, table: Arc<Table>) {
+        self.remove(&key);
+        if let Some(index) = &mut self.index {
+            index.file(&key, &table);
+        }
+        self.map.insert(key, table);
+    }
+
+    fn remove(&mut self, key: &Term) -> Option<Arc<Table>> {
+        let table = self.map.remove(key)?;
+        if let Some(index) = &mut self.index {
+            index.unfile(key, &table);
+        }
+        Some(table)
+    }
+
+    /// Hands the table map to an evaluator.  The index stays: it still
+    /// describes the tables [`Self::restore`] will get back.
+    fn take(&mut self) -> HashMap<Term, Arc<Table>> {
+        std::mem::take(&mut self.map)
+    }
+
+    /// Takes back the map from [`Self::take`], keeping its complete tables.
+    /// An evaluator only ever adds tables, so only the new ones are filed.
+    fn restore(&mut self, tables: HashMap<Term, Arc<Table>>) {
+        for (key, table) in tables {
+            if !table.complete {
+                continue;
+            }
+            if let Some(index) = &mut self.index {
+                if !index.holds(&key, &table) {
+                    index.file(&key, &table);
+                }
+            }
+            self.map.insert(key, table);
+        }
+    }
+
+    /// The index, built on first use.
+    fn index(&mut self) -> &TableIndex {
+        let map = &self.map;
+        self.index.get_or_insert_with(|| {
+            let mut index = TableIndex::default();
+            for (key, table) in map {
+                index.file(key, table);
+            }
+            index
+        })
+    }
+
+    /// Keys of the tables whose pattern may unify with `probe`: for a
+    /// ground probe, those filed under its name and arity with no bound
+    /// argument or with a bound argument the probe agrees with, plus the
+    /// patterns with a non-ground name; every table otherwise.
+    fn overlapping(&mut self, probe: &Term) -> Vec<Term> {
+        if !probe.is_ground() {
+            return self.map.keys().cloned().collect();
+        }
+        let (name, arity) = (probe.name(), probe.arity());
+        let mut slots = vec![WILDCARD_SLOT, slot_hash(name, arity, None)];
+        slots.extend(
+            probe
+                .args()
+                .iter()
+                .enumerate()
+                .map(|bound| slot_hash(name, arity, Some(bound))),
+        );
+        slots.sort_unstable();
+        slots.dedup();
+        let index = self.index();
+        slots
+            .iter()
+            .filter_map(|slot| index.slots.get(slot))
+            .flatten()
+            .cloned()
+            .collect()
     }
 }
 
 /// `Arc` clones of the session caches a [`crate::snapshot::DbSnapshot`] is
 /// assembled from; produced by [`HiLogDb::snapshot_parts`].
 pub(crate) struct SnapshotParts {
-    pub(crate) program: Arc<Program>,
+    pub(crate) rules: Arc<Program>,
+    pub(crate) edb: EdbPin,
     pub(crate) opts: EvalOptions,
     pub(crate) stable_opts: StableOptions,
     pub(crate) semantics: Semantics,
@@ -1664,6 +1929,9 @@ fn pred_key(atom: &Term) -> Option<PredKey> {
 /// unifying it against a table's normalised pattern (whose variables are
 /// generation-0 `_N*`) can never capture a variable by name.
 fn rename_apart(probe: &Term) -> Term {
+    if probe.is_ground() {
+        return probe.clone();
+    }
     let theta: Substitution = probe
         .variables()
         .iter()
@@ -1672,14 +1940,17 @@ fn rename_apart(probe: &Term) -> Term {
     theta.apply(probe)
 }
 
-/// Returns `true` if some rule with no positive or negative body atoms (a
-/// remaining bare fact, or a builtin-guarded rule like `f :- 1 < 2.`) still
-/// produces `fact` as a bodyless ground instance.  Used by the DRed
-/// retraction path to decide whether the ground fact survives the removal of
-/// its program-fact occurrence.
-fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
+/// Returns `true` if the EDB still holds `fact` or some rule with no
+/// positive or negative body atoms (a builtin-guarded rule like
+/// `f :- 1 < 2.`) still produces it as a bodyless ground instance.  Used by
+/// the DRed retraction path to decide whether the ground fact survives the
+/// removal of its EDB copy.
+fn spontaneous_fact(rules: &Program, edb: EdbRead<'_>, fact: &Term) -> bool {
+    if edb.contains(fact) {
+        return true;
+    }
     let empty = AtomStore::new();
-    program.iter().any(|rule| {
+    rules.iter().any(|rule| {
         rule.positive_atoms().count() == 0
             && rule.negative_atoms().count() == 0
             && join_body(rule, &empty, None, NegationMode::Ignore)

@@ -56,18 +56,19 @@
 //! assert_eq!(handle.current().query(&query).unwrap().answers.len(), 2);
 //! ```
 
+use crate::edb::EdbPin;
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
-use crate::grounder::ground_against;
-use crate::horn::{least_model_into, EvalOptions, NegationMode};
+use crate::grounder::ground_with_facts;
+use crate::horn::{least_model_with_facts, EvalOptions, NegationMode};
 use crate::magic_eval::{
     normalize_pattern, EvalStats, ModelSource, QueryEvaluator, Table, QUERY_HEAD,
 };
 use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{PlanStrategy, QueryPlan};
 use crate::session::{
-    assemble, build_plan, consensus_model, eval_against_model, true_answer, HiLogDb, QueryAnswer,
-    QueryResult, Semantics, SnapshotParts,
+    assemble, build_plan, consensus_model, eval_against_model, materialize, true_answer, HiLogDb,
+    QueryAnswer, QueryResult, Semantics, SnapshotParts,
 };
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{FactStore, StorageConfig};
@@ -80,7 +81,7 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::match_with;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
 /// either only swaps `Arc`s or leaves the caches in a consistent (possibly
@@ -122,8 +123,12 @@ struct SnapCore {
 /// documentation](crate::snapshot) for the overall shape.
 #[derive(Debug)]
 pub struct DbSnapshot {
-    /// The program at this epoch, shared with the writer.
-    program: Arc<Program>,
+    /// The rules at this epoch, shared with the writer.
+    rules: Arc<Program>,
+    /// The writer's EDB, pinned at this epoch's version.
+    edb: EdbPin,
+    /// [`DbSnapshot::program`]'s rules-plus-facts view, built on first use.
+    materialized: OnceLock<Program>,
     opts: EvalOptions,
     stable_opts: StableOptions,
     semantics: Semantics,
@@ -146,7 +151,9 @@ impl DbSnapshot {
     /// Assembles a snapshot from the writer's exported cache handles.
     pub(crate) fn from_parts(parts: SnapshotParts, epoch: u64) -> Self {
         DbSnapshot {
-            program: parts.program,
+            rules: parts.rules,
+            edb: parts.edb,
+            materialized: OnceLock::new(),
             opts: parts.opts,
             stable_opts: parts.stable_opts,
             semantics: parts.semantics,
@@ -163,9 +170,17 @@ impl DbSnapshot {
         }
     }
 
-    /// The program this snapshot answers from.
+    /// The program this snapshot answers from, in
+    /// [`HiLogDb::program`]'s layout (built on first use).
     pub fn program(&self) -> &Program {
-        self.program.as_ref()
+        self.materialized
+            .get_or_init(|| materialize(&self.rules, self.edb.read()))
+    }
+
+    /// Number of rules plus ground facts (copies counted) in the program —
+    /// `program().len()` without building it.
+    pub fn program_len(&self) -> usize {
+        self.rules.len() + self.edb.read().len()
     }
 
     /// The snapshot's evaluation limits.
@@ -198,7 +213,7 @@ impl DbSnapshot {
     /// store (the snapshot-side mirror of
     /// [`HiLogDb::storage_stats`](crate::session::HiLogDb::storage_stats)).
     pub fn storage_stats(&self) -> crate::storage::RelationStorageStats {
-        let mut total = crate::storage::RelationStorageStats::default();
+        let mut total = self.edb.edb().storage_stats();
         if let Some(possibly) = &read_lock(&self.core).possibly {
             total.merge(&possibly.storage_stats());
         }
@@ -351,8 +366,13 @@ impl DbSnapshot {
             stats
         };
         if let [Literal::Pos(atom)] = query.literals.as_slice() {
-            let mut evaluator =
-                QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
+            let mut evaluator = QueryEvaluator::with_tables(
+                &self.rules,
+                self.edb.read(),
+                self.opts,
+                tables,
+                self.storage.clone(),
+            );
             let solved = evaluator.solve_atom(atom);
             let stats = per_query(evaluator.stats());
             let mut fresh = evaluator.into_tables();
@@ -368,16 +388,21 @@ impl DbSnapshot {
             Ok((answers, stats))
         } else {
             // Conjunctions run through an auxiliary `__query_answer` rule.
-            // Unlike the session there is no reusable scratch program (that
-            // would be shared mutable state); the program clone is per-query.
+            // It extends a per-query copy of the rules alone: the facts stay
+            // in the EDB.
             let head = Term::apps(
                 QUERY_HEAD,
                 vars.iter().map(|v| Term::Var(v.clone())).collect(),
             );
-            let mut scratch = Program::clone(&self.program);
+            let mut scratch = Program::clone(&self.rules);
             scratch.push(Rule::new(head.clone(), query.literals.clone()));
-            let mut evaluator =
-                QueryEvaluator::with_tables(&scratch, self.opts, tables, self.storage.clone());
+            let mut evaluator = QueryEvaluator::with_tables(
+                &scratch,
+                self.edb.read(),
+                self.opts,
+                tables,
+                self.storage.clone(),
+            );
             let solved = evaluator.solve_atom(&head);
             let stats = per_query(evaluator.stats());
             let mut fresh = evaluator.into_tables();
@@ -461,15 +486,18 @@ impl DbSnapshot {
         if core.ground.is_some() {
             return Ok(0);
         }
+        let facts = self.edb.read().distinct_facts();
         let mut possibly = FactStore::new(&self.storage);
-        least_model_into(
-            &self.program,
+        least_model_with_facts(
+            &self.rules,
+            &facts,
             NegationMode::Ignore,
             self.opts,
             &mut possibly,
         )?;
-        core.ground = Some(Arc::new(ground_against(
-            &self.program,
+        core.ground = Some(Arc::new(ground_with_facts(
+            &self.rules,
+            &facts,
             &possibly,
             self.opts,
         )?));
@@ -497,7 +525,7 @@ impl DbSnapshot {
         if let Some(modular) = &core.modular {
             return Ok(modular.clone());
         }
-        let modular = Arc::new(figure1_procedure(&self.program, self.opts)?);
+        let modular = Arc::new(figure1_procedure(self.program(), self.opts)?);
         core.modular = Some(modular.clone());
         Ok(modular)
     }
@@ -608,6 +636,18 @@ impl DbWriter {
     /// The writer's program, **including unpublished batch mutations**.
     pub fn program(&self) -> &Program {
         self.db.program()
+    }
+
+    /// [`Self::program`] built afresh without caching it (see
+    /// [`HiLogDb::to_program`]).
+    pub fn to_program(&self) -> Program {
+        self.db.to_program()
+    }
+
+    /// Takes the subgoal-table maintenance counts of the mutations since the
+    /// last call (see [`HiLogDb::take_table_maintenance`]).
+    pub fn take_table_maintenance(&mut self) -> crate::session::TableMaintenance {
+        self.db.take_table_maintenance()
     }
 
     /// The semantics queries are answered under.

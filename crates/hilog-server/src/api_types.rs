@@ -110,6 +110,12 @@ pub struct MutateResponse {
     pub applied: usize,
     /// Entries that were not present (retract only; empty for assert).
     pub missing: Vec<String>,
+    /// Subgoal tables the batch patched in place on the writer.
+    pub tables_patched: usize,
+    /// Subgoal tables the batch dropped on the writer.
+    pub tables_dropped: usize,
+    /// Subgoal tables the batch refilled eagerly on the writer.
+    pub tables_refilled: usize,
 }
 
 impl Serialize for MutateResponse {
@@ -118,6 +124,9 @@ impl Serialize for MutateResponse {
         serde::write_field(out, "epoch", &self.epoch, true);
         serde::write_field(out, "applied", &self.applied, false);
         serde::write_field(out, "missing", &self.missing, false);
+        serde::write_field(out, "tables_patched", &self.tables_patched, false);
+        serde::write_field(out, "tables_dropped", &self.tables_dropped, false);
+        serde::write_field(out, "tables_refilled", &self.tables_refilled, false);
         out.push('}');
     }
 }
@@ -127,7 +136,7 @@ impl Serialize for MutateResponse {
 pub struct StatsResponse {
     /// Epoch of the currently published snapshot.
     pub epoch: u64,
-    /// Rules (facts included) in the published program.
+    /// Rules plus ground facts (copies counted) in the published program.
     pub rules: usize,
     /// Completed subgoal tables held by the published snapshot.
     pub cached_subqueries: usize,
@@ -184,6 +193,14 @@ pub struct StatsResponse {
     pub shed_requests: u64,
     /// Queries aborted at their deadline (`504` responses).
     pub query_timeouts: u64,
+    /// Subgoal tables the writer patched in place, over every batch since
+    /// boot.
+    pub tables_patched: usize,
+    /// Subgoal tables the writer dropped, over every batch since boot.
+    pub tables_dropped: usize,
+    /// Subgoal tables the writer refilled eagerly, over every batch since
+    /// boot.
+    pub tables_refilled: usize,
 }
 
 /// The `degraded` member of [`StatsResponse`]: why and since when the store
@@ -259,6 +276,9 @@ impl Serialize for StatsResponse {
         serde::write_field(out, "injected_faults", &self.injected_faults, false);
         serde::write_field(out, "shed_requests", &self.shed_requests, false);
         serde::write_field(out, "query_timeouts", &self.query_timeouts, false);
+        serde::write_field(out, "tables_patched", &self.tables_patched, false);
+        serde::write_field(out, "tables_dropped", &self.tables_dropped, false);
+        serde::write_field(out, "tables_refilled", &self.tables_refilled, false);
         out.push('}');
     }
 }

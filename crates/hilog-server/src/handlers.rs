@@ -148,6 +148,9 @@ fn mutate(state: &ServerState, body: &[u8], mutation: Mutation) -> Response {
                 .into_iter()
                 .map(|index| texts[index].clone())
                 .collect(),
+            tables_patched: outcome.maintenance.patched,
+            tables_dropped: outcome.maintenance.dropped,
+            tables_refilled: outcome.maintenance.refilled,
         })),
         // Groundness was pre-checked, so an engine rejection is unexpected;
         // the applied prefix is already published and the batch is on disk,
@@ -218,20 +221,20 @@ fn checkpoint(state: &ServerState, body: &[u8]) -> Response {
 
 fn stats(state: &ServerState) -> Response {
     let snapshot = state.snapshots.current();
-    let (storage, degraded) = {
+    let (storage, degraded, maintenance) = {
         let writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let degraded = writer.degraded().map(|d| DegradedStats {
             reason: d.reason.clone(),
             since_epoch: d.since_epoch,
         });
-        (writer.storage_stats(), degraded)
+        (writer.storage_stats(), degraded, writer.table_maintenance())
     };
     let spill = snapshot.storage_stats();
     let (spill_residency_faults, spill_writes) = hilog_engine::storage_counters();
     let symbols = hilog_core::symbol_pool_stats();
     Response::ok(to_string(&StatsResponse {
         epoch: snapshot.epoch(),
-        rules: snapshot.program().rules.len(),
+        rules: snapshot.program_len(),
         cached_subqueries: snapshot.cached_subqueries(),
         semantics: snapshot.semantics().to_string(),
         workers: state.workers,
@@ -256,5 +259,8 @@ fn stats(state: &ServerState) -> Response {
         injected_faults: storage.injected_faults,
         shed_requests: state.shed_requests.load(Ordering::Relaxed),
         query_timeouts: state.query_timeouts.load(Ordering::Relaxed),
+        tables_patched: maintenance.patched,
+        tables_dropped: maintenance.dropped,
+        tables_refilled: maintenance.refilled,
     }))
 }

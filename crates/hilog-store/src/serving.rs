@@ -21,7 +21,9 @@ use crate::error::StoreError;
 use crate::manifest::{rel_key, RelKey};
 use crate::ops::Op;
 use hilog_core::{gc_symbol_pool, symbol_pool_stats};
-use hilog_engine::{DbSnapshot, DbWriter, EngineError, HiLogDb, Semantics, SnapshotHandle};
+use hilog_engine::{
+    DbSnapshot, DbWriter, EngineError, HiLogDb, Semantics, SnapshotHandle, TableMaintenance,
+};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,6 +38,9 @@ pub struct BatchOutcome {
     /// Indexes (into the submitted batch) of retractions that found nothing
     /// to remove — no-ops on both the live and the replay path.
     pub missing: Vec<usize>,
+    /// Subgoal tables the batch's mutations patched, dropped or refilled on
+    /// the writer.
+    pub maintenance: TableMaintenance,
 }
 
 /// What one [`PersistentWriter::checkpoint`] (or
@@ -96,6 +101,8 @@ pub struct PersistentWriter {
     /// read-only degraded mode: mutations are refused, the last good
     /// snapshot keeps serving, and a successful checkpoint re-arms.
     degraded: Option<DegradedState>,
+    /// Table maintenance totals over every batch this writer applied.
+    maintenance: TableMaintenance,
     /// Relations mutated since their segments were last written — exactly
     /// the set the next incremental checkpoint must rewrite.  Accumulated
     /// from applied batches (and recovery replay) and cleared only when an
@@ -172,6 +179,7 @@ impl PersistentWriter {
                 backend: Box::new(InMemory),
                 dirty: BTreeSet::new(),
                 degraded: None,
+                maintenance: TableMaintenance::default(),
             },
             handle,
         )
@@ -202,6 +210,7 @@ impl PersistentWriter {
                     backend,
                     dirty: BTreeSet::new(),
                     degraded: None,
+                    maintenance: TableMaintenance::default(),
                 };
                 this.checkpoint()?;
                 Ok((this, handle, RecoveryReport::default()))
@@ -236,6 +245,7 @@ impl PersistentWriter {
                     // serving after returning the error to that client.
                     mark_dirty(&mut dirty, &record.ops);
                     let _ = apply_ops(&mut writer, &record.ops);
+                    writer.take_table_maintenance();
                     let snapshot = writer.publish();
                     debug_assert_eq!(snapshot.epoch(), record.epoch);
                     replayed_records += 1;
@@ -252,6 +262,7 @@ impl PersistentWriter {
                         backend,
                         dirty,
                         degraded: None,
+                        maintenance: TableMaintenance::default(),
                     },
                     handle,
                     RecoveryReport {
@@ -297,6 +308,8 @@ impl PersistentWriter {
         }
         mark_dirty(&mut self.dirty, ops);
         let (applied, missing, failure) = apply_ops(&mut self.writer, ops);
+        let maintenance = self.writer.take_table_maintenance();
+        self.maintenance.add(maintenance);
         let snapshot = self.writer.publish();
         debug_assert_eq!(snapshot.epoch(), epoch);
         match failure {
@@ -305,6 +318,7 @@ impl PersistentWriter {
                 epoch,
                 applied,
                 missing,
+                maintenance,
             }),
         }
     }
@@ -316,7 +330,7 @@ impl PersistentWriter {
         let data = CheckpointData {
             epoch: self.writer.epoch(),
             semantics: self.writer.semantics(),
-            program: self.writer.program().clone(),
+            program: self.writer.to_program(),
             model: self.writer.cached_model().map(|m| (*m).clone()),
         };
         let path = self.backend.write_checkpoint(&data)?;
@@ -348,7 +362,7 @@ impl PersistentWriter {
         let data = CheckpointData {
             epoch: self.writer.epoch(),
             semantics: self.writer.semantics(),
-            program: self.writer.program().clone(),
+            program: self.writer.to_program(),
             model: None,
         };
         let outcome = self.backend.write_incremental(&data, &self.dirty)?;
@@ -379,6 +393,12 @@ impl PersistentWriter {
             self.checkpoint()?;
         }
         Ok(())
+    }
+
+    /// Subgoal-table maintenance totals over every batch this writer
+    /// applied (replayed batches excluded), for `GET /stats`.
+    pub fn table_maintenance(&self) -> TableMaintenance {
+        self.maintenance
     }
 
     /// Storage counters for `GET /stats`.
@@ -742,6 +762,34 @@ mod tests {
         assert!(stats.injected_faults >= 1, "the fault was counted");
         assert!(stats.io_ops > 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batch_outcomes_report_writer_table_maintenance() {
+        let (mut writer, handle) = PersistentWriter::in_memory(game_db());
+        // Reader-warmed tables are adopted by the batch, then maintained.
+        handle
+            .current()
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        let outcome = writer
+            .apply_batch(&[Op::AssertFact(parse_term("move(c, d)").unwrap())])
+            .unwrap();
+        let maintained = outcome.maintenance;
+        assert!(
+            maintained.patched > 0,
+            "the move table is patched: {maintained:?}"
+        );
+        assert!(
+            maintained.dropped > 0,
+            "winning tables are dropped: {maintained:?}"
+        );
+        let second = writer
+            .apply_batch(&[Op::AssertFact(parse_term("colour(c)").unwrap())])
+            .unwrap();
+        let mut total = maintained;
+        total.add(second.maintenance);
+        assert_eq!(writer.table_maintenance(), total);
     }
 
     #[test]

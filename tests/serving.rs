@@ -278,12 +278,26 @@ fn http_round_trip_matches_in_process_answers() {
         }
     }
 
-    // Mutations publish new epochs and report missing retractions.
+    // Mutations publish new epochs, report missing retractions, and report
+    // the subgoal-table maintenance they did on the writer; `/stats` totals
+    // the latter.
+    const MAINTENANCE: [&str; 3] = ["tables_patched", "tables_dropped", "tables_refilled"];
+    let counts = |json: &serde_json::Value| -> Vec<u64> {
+        MAINTENANCE
+            .iter()
+            .map(|field| {
+                json.get(field)
+                    .and_then(|v| v.as_u64())
+                    .unwrap_or_else(|| panic!("`{field}` missing from {json:?}"))
+            })
+            .collect()
+    };
     let response = client::post(addr, "/assert", r#"{"facts": ["move(p0, p29)"]}"#).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let json = response.json().unwrap();
     assert_eq!(json.get("epoch").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(json.get("applied").and_then(|v| v.as_u64()), Some(1));
+    let mut maintained = counts(&json);
 
     let response = client::post(
         addr,
@@ -296,11 +310,19 @@ fn http_round_trip_matches_in_process_answers() {
     assert_eq!(json.get("applied").and_then(|v| v.as_u64()), Some(1));
     let missing = json.get("missing").and_then(|v| v.as_array()).unwrap();
     assert_eq!(missing.len(), 1);
+    for (total, count) in maintained.iter_mut().zip(counts(&json)) {
+        *total += count;
+    }
 
     let response = client::get(addr, "/stats").unwrap();
     assert_eq!(response.status, 200);
     let json = response.json().unwrap();
     assert_eq!(json.get("epoch").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(
+        counts(&json),
+        maintained,
+        "`/stats` totals the batch replies"
+    );
     assert_eq!(
         json.get("semantics").and_then(|v| v.as_str()),
         Some("well-founded")

@@ -4,7 +4,9 @@
 //! extended program — for both magic-sets and full-model plans.
 
 use hilog_repro::prelude::*;
+use hilog_store::{Op, PersistentWriter};
 use hilog_workloads::random_programs::{random_range_restricted_normal, NormalProgramConfig};
+use hilog_workloads::{serving_workload, ServingWorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -593,4 +595,203 @@ proptest! {
         let after = mutated.query(&query).unwrap();
         prop_assert_eq!(answer_set(&after), answer_set(&before));
     }
+}
+
+// ---------------------------------------------------------------------
+// The EDB: counted facts, batch ≡ op-at-a-time, program() layout, depth
+// ---------------------------------------------------------------------
+
+/// Sorted rendering of a program's rules, copies kept: two programs with
+/// equal multisets are equal programs up to order.
+fn program_multiset(program: &Program) -> Vec<String> {
+    let mut rules: Vec<String> = program.rules.iter().map(|r| r.to_string()).collect();
+    rules.sort();
+    rules
+}
+
+/// Re-asserting and re-retracting the same few facts, copies included, must
+/// keep the EDB a multiset: every retraction reports exactly what a plain
+/// rule list would, `program()` holds the same copies, and both plans answer
+/// like a fresh session over that list.
+#[test]
+fn repeated_asserts_and_retracts_keep_multiset_semantics() {
+    let rules = "winning(X) :- move(X, Y), not winning(Y).\n\
+                 reach(X, Y) :- move(X, Y).\n\
+                 reach(X, Z) :- move(X, Y), reach(Y, Z).";
+    let queries: Vec<Query> = ["?- winning(X).", "?- reach(a, X).", "?- P(X, Y)."]
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
+    let vocabulary: Vec<Term> = ["move(a, b)", "move(b, c)", "move(c, d)", "move(a, c)"]
+        .iter()
+        .map(|f| parse_term(f).unwrap())
+        .collect();
+    for seed in 0..proptest_cases(24) as u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xED_B5E7);
+        let mut reference = parse_program(rules).unwrap();
+        let mut db = HiLogDb::new(reference.clone());
+        for step in 0..40 {
+            let context = format!("seed {seed}, step {step}");
+            let fact = vocabulary[rng.gen_range(0..vocabulary.len())].clone();
+            if rng.gen_bool(0.55) {
+                db.assert_fact(fact.clone()).unwrap();
+                reference.push(Rule::fact(fact));
+            } else {
+                let position = reference
+                    .rules
+                    .iter()
+                    .position(|r| r.is_fact() && r.head == fact);
+                if let Some(position) = position {
+                    reference.rules.remove(position);
+                }
+                assert_eq!(
+                    db.retract_fact(&fact),
+                    position.is_some(),
+                    "{context}: retract of `{fact}`"
+                );
+            }
+            assert_eq!(
+                program_multiset(db.program()),
+                program_multiset(&reference),
+                "{context}: program multiset"
+            );
+            let query = &queries[rng.gen_range(0..queries.len())];
+            let ours = db.query(query).unwrap();
+            let theirs = HiLogDb::new(reference.clone()).query(query).unwrap();
+            assert_results_agree(&ours, &theirs, &format!("on {query} ({context})"));
+        }
+    }
+}
+
+/// Applies `ops` one at a time through the session's mutation calls.
+fn apply_one_by_one(db: &mut HiLogDb, ops: &[Op]) {
+    for op in ops {
+        match op {
+            Op::AssertFact(fact) => db.assert_fact(fact.clone()).unwrap(),
+            Op::RetractFact(fact) => {
+                db.retract_fact(fact);
+            }
+            Op::AssertRule(rule) => db.assert_rule(rule.clone()),
+            Op::RetractRule(rule) => {
+                db.retract_rule(rule);
+            }
+        }
+    }
+}
+
+/// Batch application equals op-at-a-time application equals a fresh
+/// session: the same mutation stream through `PersistentWriter::apply_batch`
+/// (readers querying between batches), through single calls on a live
+/// session, and rebuilt from the final program, answers alike at every
+/// batch boundary.
+#[test]
+fn batch_application_equals_op_at_a_time_and_fresh_sessions() {
+    let queries: Vec<Query> = ["?- idb0(X).", "?- idb1(X).", "?- P(X)."]
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
+    for seed in 0..proptest_cases(16) as u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+        let program = random_range_restricted_normal(NormalProgramConfig::default(), seed);
+        let (mut writer, handle) = PersistentWriter::in_memory(HiLogDb::new(program.clone()));
+        let mut single = HiLogDb::new(program);
+        let constant = |i: usize| Term::sym(format!("c{i}"));
+        for batch in 0..6 {
+            let context = format!("seed {seed}, batch {batch}");
+            let mut ops = Vec::new();
+            for _ in 0..rng.gen_range(1..=8usize) {
+                let fact = Term::apps(
+                    format!("edb{}", rng.gen_range(0..2)),
+                    vec![constant(rng.gen_range(0..4)), constant(rng.gen_range(0..4))],
+                );
+                ops.push(if rng.gen_bool(0.6) {
+                    Op::AssertFact(fact)
+                } else {
+                    Op::RetractFact(fact)
+                });
+            }
+            writer.apply_batch(&ops).unwrap();
+            apply_one_by_one(&mut single, &ops);
+            assert_eq!(writer.program(), single.program(), "{context}: programs");
+            let snapshot = handle.current();
+            let mut fresh = HiLogDb::new(single.program().clone());
+            for query in &queries {
+                let batched = snapshot.query(query).unwrap();
+                let one_by_one = single.query(query).unwrap();
+                let reference = fresh.query(query).unwrap();
+                let context = format!("on {query} ({context})");
+                assert_results_agree(&batched, &reference, &format!("{context}, batch"));
+                assert_results_agree(&one_by_one, &reference, &format!("{context}, single"));
+            }
+        }
+    }
+}
+
+/// `program()` spells a session out as its rules in source order, then its
+/// ground facts in term order with one entry per asserted copy — whatever
+/// order the facts arrived in, and on the writer and snapshots alike.
+#[test]
+fn materialised_program_lists_rules_then_facts_in_term_order() {
+    let mut db = HiLogDb::new(
+        parse_program("p(b). r(X) :- p(X). p(a). q(c). s(X) :- q(X), not r(X). p(b). t(X, X).")
+            .unwrap(),
+    );
+    db.assert_fact(parse_term("q(a)").unwrap()).unwrap();
+    assert!(db.retract_fact(&parse_term("p(b)").unwrap()));
+    db.assert_rule(parse_program("r(c).").unwrap().rules.remove(0));
+    let expected = "r(X) :- p(X).\n\
+                    s(X) :- q(X), not r(X).\n\
+                    t(X, X).\n\
+                    p(a).\n\
+                    p(b).\n\
+                    q(a).\n\
+                    q(c).\n\
+                    r(c).";
+    let rendered: Vec<String> = db.program().rules.iter().map(|r| r.to_string()).collect();
+    assert_eq!(rendered.join("\n"), expected);
+    let (_writer, handle) = db.into_serving();
+    let snapshot = handle.current();
+    assert_eq!(snapshot.program_len(), 8);
+    let rendered: Vec<String> = snapshot
+        .program()
+        .rules
+        .iter()
+        .map(|r| r.to_string())
+        .collect();
+    assert_eq!(rendered.join("\n"), expected);
+}
+
+/// A bound query whose negation chain nests deeper than the tabled route's
+/// settle guard (a bound `winning(p0)` on a 2000-node game) must answer from
+/// the full model on a thread with the default 2 MiB spawned-thread stack,
+/// not overflow it.
+#[test]
+fn deep_negation_chains_fall_back_instead_of_overflowing_the_stack() {
+    let workload = serving_workload(
+        &ServingWorkloadConfig {
+            nodes: 2000,
+            ..ServingWorkloadConfig::default()
+        },
+        1,
+    );
+    let result = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut db = HiLogDb::new(workload.program);
+            let bound = db.query(&parse_query("?- winning(p0).").unwrap()).unwrap();
+            let model = db.model().unwrap().clone();
+            (bound, model)
+        })
+        .unwrap()
+        .join()
+        .expect("the query thread must not overflow its stack");
+    let (bound, model) = result;
+    assert!(
+        bound.fallback.is_some(),
+        "a 2000-node chain of settles must take the full-model route"
+    );
+    assert_eq!(
+        bound.truth,
+        model.truth(&parse_term("winning(p0)").unwrap())
+    );
 }
